@@ -57,6 +57,7 @@ func TestFsckHealthyDataDir(t *testing.T) {
 		"store usage:",
 		"boot: checkpoint",
 		"2 store(s), all bootable",
+		"checkpoint ledger-0.ckpt: OK seq 3 (bin1 format, crc verified",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
@@ -175,5 +176,52 @@ func TestFsckReportsStaleTmp(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "stale temp file ledger-0.ckpt.tmp") {
 		t.Errorf("stale tmp not reported:\n%s", out.String())
+	}
+}
+
+// TestFsckReportsGen1Format: a data dir carried over from a build that
+// wrote gen1 (JSON body) checkpoints reports that generation as json,
+// and the gen2 checkpoint written over it as bin1.
+func TestFsckReportsGen1Format(t *testing.T) {
+	dir := t.TempDir()
+	gen1, err := os.ReadFile(filepath.Join("..", "..", "internal", "db", "testdata", "gen1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "ledger-0.ckpt")
+	if err := os.WriteFile(ckpt, gen1, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if healthy, err := runFsck(&out, dir); err != nil || !healthy {
+		t.Fatalf("runFsck = %v, %v:\n%s", healthy, err, out.String())
+	}
+	if want := "checkpoint ledger-0.ckpt: OK seq 9 (json format, crc verified"; !strings.Contains(out.String(), want) {
+		t.Errorf("output missing %q:\n%s", want, out.String())
+	}
+
+	j, err := db.OpenFileJournal(filepath.Join(dir, "ledger-0.wal"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.OpenWithCheckpoint(ckpt, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	out.Reset()
+	if healthy, err := runFsck(&out, dir); err != nil || !healthy {
+		t.Fatalf("runFsck = %v, %v:\n%s", healthy, err, out.String())
+	}
+	for _, want := range []string{
+		"checkpoint ledger-0.ckpt: OK seq 9 (bin1 format, crc verified",
+		"checkpoint ledger-0.ckpt.1: OK seq 9 (json format, crc verified",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -505,16 +505,12 @@ func logBoot(name string, info *db.BootInfo) {
 	for _, fb := range info.Fallbacks {
 		log.Printf("gridbankd: WARNING %s checkpoint fallback: %s", name, fb)
 	}
-	switch {
-	case info.Generation < 0:
+	if info.Generation < 0 {
 		log.Printf("gridbankd: %s restored by journal replay (no checkpoint)", name)
-	case info.Legacy:
-		log.Printf("gridbankd: %s restored from checkpoint generation %d (legacy format, seq %d, %s)",
-			name, info.Generation, info.Seq, info.Path)
-	default:
-		log.Printf("gridbankd: %s restored from checkpoint generation %d (seq %d, %s)",
-			name, info.Generation, info.Seq, info.Path)
+		return
 	}
+	log.Printf("gridbankd: %s restored from checkpoint generation %d (%s format, seq %d, %s)",
+		name, info.Generation, info.Format, info.Seq, info.Path)
 }
 
 // openSpool opens a durable pipeline intake spool (<data>/<name>.wal

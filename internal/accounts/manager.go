@@ -88,13 +88,7 @@ func NewManager(store *db.Store, cfg Config) (*Manager, error) {
 			return nil, err
 		}
 	}
-	err := store.CreateIndex(tableAccounts, indexByCert, func(key string, value []byte) []string {
-		a, err := decodeAccount(value)
-		if err != nil || a.Closed {
-			return nil
-		}
-		return []string{a.CertificateName}
-	})
+	err := store.CreateIndex(tableAccounts, indexByCert, certIndexKeys)
 	if err != nil && !errors.Is(err, db.ErrDupIndex) {
 		return nil, err
 	}

@@ -111,10 +111,14 @@ type table struct {
 	stripes [tableStripes]stripe
 }
 
-func newTable(name string) *table {
+func newTable(name string) *table { return newTableSized(name, 0) }
+
+// newTableSized is newTable with its stripes pre-sized for about rows
+// records in total.
+func newTableSized(name string, rows int) *table {
 	t := &table{name: name, indexes: make(map[string]*index)}
 	for i := range t.stripes {
-		t.stripes[i].rows = make(map[string]*row)
+		t.stripes[i].rows = make(map[string]*row, rows/tableStripes)
 	}
 	return t
 }

@@ -226,7 +226,7 @@ func TestBootFallsBackToPreviousGenerationOnCorruptNewest(t *testing.T) {
 	}
 	putKey(t, s, "w3", "c")
 
-	if !d.Corrupt(ckptPath, 40, 0xFF) { // inside the JSON body
+	if !d.Corrupt(ckptPath, 40, 0xFF) { // inside the body
 		t.Fatal("corrupt missed")
 	}
 	d.Crash()
@@ -581,6 +581,93 @@ func TestLegacyCheckpointOnRealFilesystem(t *testing.T) {
 	defer s2.Close()
 	wantKey(t, s2, "w1", "a")
 	wantKey(t, s2, "w2", "b")
+}
+
+// TestGen1CheckpointBootsAndRotates pins compatibility with the gen1
+// (JSON body) format: a checkpoint the gen1 writer produced restores,
+// reports its format, and rotates to .1 as an intact generation when
+// the first gen2 checkpoint is written over it.
+func TestGen1CheckpointBootsAndRotates(t *testing.T) {
+	gen1, err := os.ReadFile("testdata/gen1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := diskfault.New(diskfault.Config{Seed: 16})
+	d.SetBytes(ckptPath, gen1)
+	s, info := bootGen1(t, d)
+	if info.Generation != 0 || info.Format != db.FormatJSON || info.Legacy || info.Seq != 9 {
+		t.Fatalf("BootInfo = %+v; want json generation 0 at seq 9", info)
+	}
+	if _, err := s.CheckpointFS(d, ckptPath); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(d.Bytes(ckptPath+".1"), gen1) {
+		t.Fatal("gen1 checkpoint was not rotated to .1 unchanged")
+	}
+	if r := db.VerifyCheckpoint(d, ckptPath+".1"); !r.OK || r.Format != db.FormatJSON {
+		t.Fatalf("rotated gen1 generation: %+v; want intact json", r)
+	}
+	if r := db.VerifyCheckpoint(d, ckptPath); !r.OK || r.Format != db.FormatBin1 {
+		t.Fatalf("new generation: %+v; want intact bin1", r)
+	}
+}
+
+// TestGen2NewestFallsBackToGen1 is the mixed-generation fallback: the
+// gen2 newest rots, the journal still covers the span since the gen1
+// .1, so boot restores the gen1 generation and replays the tail.
+func TestGen2NewestFallsBackToGen1(t *testing.T) {
+	gen1, err := os.ReadFile("testdata/gen1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := diskfault.New(diskfault.Config{Seed: 17})
+	d.SetBytes(ckptPath, gen1)
+	s, _ := bootGen1(t, d)
+	if err := s.CreateTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	putKey(t, s, "w1", "a")
+	if _, err := s.CheckpointFS(d, ckptPath); err != nil { // gen1 → .1
+		t.Fatal(err)
+	}
+	putKey(t, s, "w2", "b")
+	d.Crash()
+	if !d.Corrupt(ckptPath, 40, 0xFF) {
+		t.Fatal("corrupt missed")
+	}
+	s2, info := bootGen1(t, d)
+	if info.Generation != 1 || info.Format != db.FormatJSON {
+		t.Fatalf("BootInfo = %+v; want json generation 1", info)
+	}
+	if len(info.Fallbacks) != 1 || !errorStringContains(info.Fallbacks[0], "checkpoint corrupt") {
+		t.Fatalf("fallbacks = %v; want the rotted gen2 recorded", info.Fallbacks)
+	}
+	wantKey(t, s2, "w1", "a")
+	wantKey(t, s2, "w2", "b")
+}
+
+// bootGen1 boots over a data dir seeded with the gen1 fixture and
+// checks the fixture's rows came back.
+func bootGen1(t *testing.T, d *diskfault.Disk) (*db.Store, *db.BootInfo) {
+	t.Helper()
+	s, info, _ := bootFS(t, d, wire.CodecBin1)
+	for table, rows := range map[string]map[string]string{
+		"accounts": {"01-0001-00000002": `{"account_id":"01-0001-00000002","certificate_name":"CN=José"}`},
+		"blobs":    {"bin": "\x00\xff\x7f\n", "日本": "non-ascii key"},
+	} {
+		for k, want := range rows {
+			if got, err := s.Get(table, k); err != nil || string(got) != want {
+				t.Fatalf("%s/%s = %q, %v; want %q", table, k, got, err, want)
+			}
+		}
+	}
+	if _, err := s.Get("blobs", "gone"); err == nil {
+		t.Fatal("row deleted before the gen1 checkpoint came back")
+	}
+	if n, err := s.Count("empty"); err != nil || n != 0 {
+		t.Fatalf("empty table = %d rows, %v; want present and empty", n, err)
+	}
+	return s, info
 }
 
 func errorStringContains(s, sub string) bool { return bytes.Contains([]byte(s), []byte(sub)) }

@@ -2,6 +2,7 @@ package db
 
 import (
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -79,4 +80,29 @@ func (osFS) SyncDir(dir string) error {
 // syncParentDir fsyncs path's directory through fsys.
 func syncParentDir(fsys FS, path string) error {
 	return fsys.SyncDir(filepath.Dir(path))
+}
+
+// readWhole reads f to EOF into a buffer sized from Stat, as
+// os.ReadFile does: io.ReadAll's doubling would copy a multi-megabyte
+// checkpoint over and over. The size is only a hint; a file that grows
+// meanwhile is still read whole.
+func readWhole(f File) ([]byte, error) {
+	size := 512
+	if fi, err := f.Stat(); err == nil && fi.Size() > 0 && fi.Size() < math.MaxInt32 {
+		size = int(fi.Size()) + 1 // +1 so the final Read sees EOF without growing
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := f.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				return b, nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }

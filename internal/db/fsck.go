@@ -202,6 +202,9 @@ type CheckpointReport struct {
 	Exists bool   `json:"exists"`
 	OK     bool   `json:"ok"`
 	Legacy bool   `json:"legacy,omitempty"`
+	// Format names the body format the file's magic announces
+	// (FormatLegacy, FormatJSON or FormatBin1; "" when absent).
+	Format string `json:"format,omitempty"`
 	Seq    uint64 `json:"seq"`
 	Size   int64  `json:"size"`
 	Detail string `json:"detail,omitempty"` // failure reason when !OK
@@ -212,12 +215,14 @@ func (r *CheckpointReport) Verdict() string {
 	switch {
 	case !r.Exists:
 		return "absent"
-	case !r.OK:
+	case !r.OK && r.Format == "":
 		return "CORRUPT " + r.Detail
+	case !r.OK:
+		return fmt.Sprintf("CORRUPT %s (%s format)", r.Detail, r.Format)
 	case r.Legacy:
 		return fmt.Sprintf("OK seq %d (legacy headerless format, %d bytes)", r.Seq, r.Size)
 	default:
-		return fmt.Sprintf("OK seq %d (crc verified, %d bytes)", r.Seq, r.Size)
+		return fmt.Sprintf("OK seq %d (%s format, crc verified, %d bytes)", r.Seq, r.Format, r.Size)
 	}
 }
 
@@ -233,19 +238,19 @@ func VerifyCheckpoint(fsys FS, path string) *CheckpointReport {
 	}
 	defer f.Close()
 	r.Exists = true
-	b, err := io.ReadAll(f)
+	b, err := readWhole(f)
 	if err != nil {
 		r.Detail = err.Error()
 		return r
 	}
 	r.Size = int64(len(b))
-	sn, legacy, err := decodeCheckpoint(b)
+	ck, err := decodeCheckpoint(b, false)
+	r.Format, r.Legacy = ck.format, ck.format == FormatLegacy
 	if err != nil {
-		r.Legacy = legacy
 		r.Detail = strings.TrimPrefix(err.Error(), "db: checkpoint corrupt: ")
 		return r
 	}
-	r.OK, r.Legacy, r.Seq = true, legacy, sn.Seq
+	r.OK, r.Seq = true, ck.seq
 	return r
 }
 

@@ -7,10 +7,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
+
+	"gridbank/internal/wire"
 )
 
 // Snapshot is a point-in-time copy of the whole store, suitable for
@@ -23,17 +27,48 @@ type Snapshot struct {
 
 // Snapshot captures the current state of every table.
 func (s *Store) Snapshot() (*Snapshot, error) {
-	if err := s.failedErr(); err != nil {
+	seq, tabs, err := s.cut()
+	if err != nil {
 		return nil, err
+	}
+	snap := &Snapshot{Seq: seq, Tables: make(map[string]map[string][]byte, len(tabs))}
+	for _, t := range tabs {
+		rows := make(map[string][]byte, len(t.rows))
+		for _, kv := range t.rows {
+			rows[kv.key] = cloneBytes(kv.value)
+		}
+		snap.Tables[t.name] = rows
+	}
+	return snap, nil
+}
+
+// tableImage is one table's rows as a checkpoint carries them. Values
+// alias published rows, which are immutable (see row), so an image
+// stays valid after the stripe locks it was taken under are released.
+type tableImage struct {
+	name string
+	rows []rowImage
+}
+
+type rowImage struct {
+	key   string
+	value []byte
+}
+
+// cut takes one consistent cross-table cut of the store: every table's
+// stripes are locked (tables in sorted order, stripes in index order —
+// the same global order commits use), the row references collected,
+// and the locks released as it goes. Copying and encoding happen after
+// the locks are gone.
+func (s *Store) cut() (uint64, []tableImage, error) {
+	if err := s.failedErr(); err != nil {
+		return 0, nil, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, ErrClosed
+		return 0, nil, ErrClosed
 	}
-	// Lock every table's stripes (tables in sorted order, stripes in
-	// index order — the same global order commits use) so the copy is
-	// one consistent cross-table cut, then release as we go.
 	names := make([]string, 0, len(s.tables))
 	for n := range s.tables {
 		names = append(names, n)
@@ -42,22 +77,35 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 	for _, n := range names {
 		s.tables[n].lockAllStripes()
 	}
-	snap := &Snapshot{Seq: s.seq.Load(), Tables: make(map[string]map[string][]byte, len(s.tables))}
+	seq := s.seq.Load()
+	tabs := make([]tableImage, 0, len(names))
 	for _, n := range names {
 		t := s.tables[n]
-		rows := make(map[string][]byte)
-		for i := range t.stripes {
-			for k, r := range t.stripes[i].rows {
-				rows[k] = cloneBytes(r.value)
-			}
-		}
-		snap.Tables[n] = rows
+		tabs = append(tabs, t.imageLocked())
 		t.unlockAllStripes()
 	}
-	return snap, nil
+	return seq, tabs, nil
 }
 
-// WriteTo serializes the snapshot as JSON.
+// imageLocked collects the table's rows, unsorted. The caller holds
+// every stripe (shared at least) or owns the table outright.
+func (t *table) imageLocked() tableImage {
+	n := 0
+	for i := range t.stripes {
+		n += len(t.stripes[i].rows)
+	}
+	rows := make([]rowImage, 0, n)
+	for i := range t.stripes {
+		for k, r := range t.stripes[i].rows {
+			rows = append(rows, rowImage{k, r.value})
+		}
+	}
+	return tableImage{name: t.name, rows: rows}
+}
+
+// WriteTo serializes the snapshot as plain JSON — the seed-era
+// headerless export, which ReadSnapshot and checkpoint boots still load
+// (checkpoints themselves are always written as gen2, see ckptMagic).
 func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	b, err := json.Marshal(sn)
 	if err != nil {
@@ -68,15 +116,18 @@ func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadSnapshot parses a snapshot previously produced by WriteTo (plain
-// JSON) or a checksummed checkpoint file image (see the format notes at
-// ckptMagic).
+// JSON) or a checkpoint file image of any generation (see the format
+// notes at ckptMagic).
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	sn, _, err := decodeCheckpoint(b)
-	return sn, err
+	ck, err := decodeCheckpoint(b, true)
+	if err != nil {
+		return nil, err
+	}
+	return ck.snapshot(), nil
 }
 
 // SnapshotSince returns the bootstrap artifact for a replica whose
@@ -109,11 +160,11 @@ func (s *Store) SnapshotSince(fromSeq uint64) (*Snapshot, error) {
 // Unlike Checkpoint it does not rotate generations: a backup target is
 // overwritten in place.
 func (s *Store) SaveSnapshotFile(path string) error {
-	sn, err := s.Snapshot()
+	seq, tabs, err := s.cut()
 	if err != nil {
 		return err
 	}
-	return writeSnapshotFile(OSFS(), sn, path, false)
+	return writeSnapshotFile(OSFS(), seq, tabs, path, false)
 }
 
 // Checkpoint writes a point-in-time snapshot to path and returns its
@@ -135,20 +186,20 @@ func (s *Store) Checkpoint(path string) (uint64, error) {
 // CheckpointFS is Checkpoint over an explicit filesystem — the seam the
 // diskfault package injects faults through.
 func (s *Store) CheckpointFS(fsys FS, path string) (uint64, error) {
-	sn, err := s.Snapshot()
+	seq, tabs, err := s.cut()
 	if err != nil {
 		return 0, err
 	}
-	if err := writeSnapshotFile(fsys, sn, path, true); err != nil {
+	if err := writeSnapshotFile(fsys, seq, tabs, path, true); err != nil {
 		return 0, err
 	}
-	return sn.Seq, nil
+	return seq, nil
 }
 
-// Checkpoint file format ("gen1"):
+// Checkpoint file formats. Every generation shares one frame:
 //
-//	#GBCKPT1 len=<body bytes> crc=<crc32-ieee hex>\n
-//	<body: the JSON snapshot>
+//	#GBCKPT<v> len=<body bytes> crc=<crc32-ieee hex>\n
+//	<body>
 //	\n#GBCKPTE seq=<seq>\n
 //
 // The header's CRC covers exactly the body, so at-rest bit rot anywhere
@@ -158,12 +209,35 @@ func (s *Store) CheckpointFS(fsys FS, path string) (uint64, error) {
 // block boundary the CRC read would miss. The trailer repeats the
 // snapshot sequence as a cross-check against header/body confusion.
 //
-// The magic's first byte '#' can never open a JSON value, so legacy
-// headerless checkpoints (raw JSON, written before this format) remain
-// distinguishable and loadable — pinned by regression tests.
+// Generations, newest first. Every checkpoint write produces gen2;
+// gen1 and legacy files are only read.
+//
+// gen2 (#GBCKPT2, format "bin1") has a binary body built with wire's
+// binary toolkit (big-endian, length-prefixed):
+//
+//	seq:u64 tables:u32 × ( name:str16 rows:u32 × ( key:str16 value:blob32 ) )
+//
+// Tables and keys appear in strictly ascending byte order, so one state
+// always yields one image, and a decoder rejects any other order (or a
+// duplicate) as corruption.
+//
+// gen1 (#GBCKPT1, format "json") has the JSON snapshot as its body.
+//
+// legacy (format "legacy") is a headerless raw-JSON file from before
+// the checksummed frame. The magic's first byte '#' can never open a
+// JSON value, so it stays distinguishable — pinned by regression tests.
 const (
-	ckptMagic        = "#GBCKPT1 "
+	ckptMagic        = "#GBCKPT2 "
+	ckptMagicGen1    = "#GBCKPT1 "
 	ckptTrailerMagic = "#GBCKPTE "
+)
+
+// Checkpoint body formats, as BootInfo.Format and CheckpointReport.
+// Format name them (matching JournalReport.Codec's codec names).
+const (
+	FormatLegacy = "legacy"
+	FormatJSON   = "json"
+	FormatBin1   = "bin1"
 )
 
 // ErrCheckpointCorrupt tags a checkpoint file that failed verification:
@@ -176,89 +250,243 @@ var ErrCheckpointCorrupt = errors.New("db: checkpoint corrupt")
 // roll back acked history. Operators diagnose with `gbadmin fsck`.
 var ErrNoIntactHistory = errors.New("db: no intact source of history")
 
-// encodeCheckpoint renders a snapshot in the checkpoint file format.
-func encodeCheckpoint(sn *Snapshot) ([]byte, error) {
-	body, err := json.Marshal(sn)
-	if err != nil {
-		return nil, err
+// Smallest encodings of a table (name:str16 + rows:u32) and of a row
+// (key:str16 + value:blob32): a count read from a gen2 body is checked
+// against them before anything is sized by it.
+const (
+	minTableBytes = 2 + 4
+	minRowBytes   = 2 + 4
+)
+
+// encodeCheckpoint renders a gen2 checkpoint image. It sorts tabs (and
+// every table's rows) in place.
+func encodeCheckpoint(seq uint64, tabs []tableImage) ([]byte, error) {
+	slices.SortFunc(tabs, func(a, b tableImage) int { return strings.Compare(a.name, b.name) })
+	bodyLen := 8 + 4
+	for _, t := range tabs {
+		slices.SortFunc(t.rows, func(a, b rowImage) int { return strings.Compare(a.key, b.key) })
+		bodyLen += minTableBytes + len(t.name)
+		for _, r := range t.rows {
+			bodyLen += minRowBytes + len(r.key) + len(r.value)
+		}
 	}
+	// The CRC is patched into the header once the body is in place, so
+	// the image is built in one exactly-sized buffer.
+	header := fmt.Sprintf("%slen=%d crc=%08x\n", ckptMagic, bodyLen, 0)
+	trailer := fmt.Sprintf("\n%sseq=%d\n", ckptTrailerMagic, seq)
 	var buf bytes.Buffer
-	buf.Grow(len(body) + 64)
-	fmt.Fprintf(&buf, "%slen=%d crc=%08x\n", ckptMagic, len(body), crc32.ChecksumIEEE(body))
-	buf.Write(body)
-	fmt.Fprintf(&buf, "\n%sseq=%d\n", ckptTrailerMagic, sn.Seq)
+	buf.Grow(len(header) + bodyLen + len(trailer))
+	buf.WriteString(header)
+	wire.AppendU64(&buf, seq)
+	if len(tabs) > math.MaxUint32 {
+		return nil, fmt.Errorf("db: %d tables in one checkpoint", len(tabs))
+	}
+	wire.AppendU32(&buf, uint32(len(tabs)))
+	for _, t := range tabs {
+		if err := wire.AppendStr16(&buf, t.name); err != nil {
+			return nil, fmt.Errorf("db: checkpoint table %.32q: %w", t.name, err)
+		}
+		if len(t.rows) > math.MaxUint32 {
+			return nil, fmt.Errorf("db: %d rows in checkpoint table %q", len(t.rows), t.name)
+		}
+		wire.AppendU32(&buf, uint32(len(t.rows)))
+		for _, r := range t.rows {
+			if err := wire.AppendStr16(&buf, r.key); err != nil {
+				return nil, fmt.Errorf("db: checkpoint key %.32q in %q: %w", r.key, t.name, err)
+			}
+			if err := wire.AppendBlob32(&buf, r.value); err != nil {
+				return nil, fmt.Errorf("db: checkpoint value %.32q in %q: %w", r.key, t.name, err)
+			}
+		}
+	}
+	img := buf.Bytes()
+	crc := crc32.ChecksumIEEE(img[len(header):])
+	copy(img[len(header)-9:], fmt.Sprintf("%08x", crc))
+	buf.WriteString(trailer)
 	return buf.Bytes(), nil
 }
 
-// decodeCheckpoint parses and verifies a checkpoint image. legacy
-// reports that the image predates the checksummed format (raw JSON —
-// nothing to verify beyond parsing). Verification failures wrap
-// ErrCheckpointCorrupt.
-func decodeCheckpoint(b []byte) (sn *Snapshot, legacy bool, err error) {
-	if !bytes.HasPrefix(b, []byte(ckptMagic)) {
-		// Legacy headerless checkpoint: the whole file is the JSON body.
-		var s Snapshot
-		if err := json.Unmarshal(b, &s); err != nil {
-			return nil, true, fmt.Errorf("%w: legacy body: %v", ErrCheckpointCorrupt, err)
+// checkpoint is one decoded, verified checkpoint image.
+type checkpoint struct {
+	seq    uint64
+	format string
+	tables map[string]*table // nil unless decoded with build
+}
+
+// snapshot returns a built image as a Snapshot. The values are handed
+// over, not copied: a decoded image owns them.
+func (ck *checkpoint) snapshot() *Snapshot {
+	sn := &Snapshot{Seq: ck.seq, Tables: make(map[string]map[string][]byte, len(ck.tables))}
+	for name, t := range ck.tables {
+		img := t.imageLocked()
+		rows := make(map[string][]byte, len(img.rows))
+		for _, r := range img.rows {
+			rows[r.key] = r.value
 		}
-		return &s, true, nil
+		sn.Tables[name] = rows
+	}
+	return sn
+}
+
+// decodeCheckpoint parses and verifies a checkpoint image of any
+// generation. With build, the image is decoded into store tables (a
+// gen2 body straight into them); without, it is only verified, which
+// for a gen2 body means a walk with no copies. The returned checkpoint
+// is never nil, so a caller can report the format of a corrupt image.
+// Verification failures wrap ErrCheckpointCorrupt.
+func decodeCheckpoint(b []byte, build bool) (*checkpoint, error) {
+	gen2 := bytes.HasPrefix(b, []byte(ckptMagic))
+	if !gen2 && !bytes.HasPrefix(b, []byte(ckptMagicGen1)) {
+		// Legacy headerless checkpoint: the whole file is the JSON body.
+		ck := &checkpoint{format: FormatLegacy}
+		if err := ck.decodeJSON(b, build); err != nil {
+			return ck, fmt.Errorf("%w: legacy body: %v", ErrCheckpointCorrupt, err)
+		}
+		return ck, nil
+	}
+	ck := &checkpoint{format: FormatJSON}
+	if gen2 {
+		ck.format = FormatBin1
 	}
 	nl := bytes.IndexByte(b, '\n')
 	if nl < 0 {
-		return nil, false, fmt.Errorf("%w: torn header", ErrCheckpointCorrupt)
+		return ck, fmt.Errorf("%w: torn header", ErrCheckpointCorrupt)
 	}
 	var bodyLen int
 	var crc uint32
+	// Both magics are the same length, so one offset serves both.
 	if _, err := fmt.Sscanf(string(b[len(ckptMagic):nl]), "len=%d crc=%08x", &bodyLen, &crc); err != nil {
-		return nil, false, fmt.Errorf("%w: malformed header: %v", ErrCheckpointCorrupt, err)
+		return ck, fmt.Errorf("%w: malformed header: %v", ErrCheckpointCorrupt, err)
+	}
+	if gen2 && string(b[:nl+1]) != fmt.Sprintf("%slen=%d crc=%08x\n", ckptMagic, bodyLen, crc) {
+		return ck, fmt.Errorf("%w: malformed header: not canonical", ErrCheckpointCorrupt)
 	}
 	rest := b[nl+1:]
 	if bodyLen < 0 || len(rest) < bodyLen {
-		return nil, false, fmt.Errorf("%w: truncated body (%d of %d bytes)", ErrCheckpointCorrupt, len(rest), bodyLen)
+		return ck, fmt.Errorf("%w: truncated body (%d of %d bytes)", ErrCheckpointCorrupt, len(rest), bodyLen)
 	}
 	body, tail := rest[:bodyLen], rest[bodyLen:]
 	var trailerSeq uint64
 	if _, err := fmt.Sscanf(string(tail), "\n"+ckptTrailerMagic+"seq=%d\n", &trailerSeq); err != nil {
-		return nil, false, fmt.Errorf("%w: missing or torn trailer", ErrCheckpointCorrupt)
+		return ck, fmt.Errorf("%w: missing or torn trailer", ErrCheckpointCorrupt)
+	}
+	if gen2 && string(tail) != fmt.Sprintf("\n%sseq=%d\n", ckptTrailerMagic, trailerSeq) {
+		return ck, fmt.Errorf("%w: malformed trailer", ErrCheckpointCorrupt)
 	}
 	if got := crc32.ChecksumIEEE(body); got != crc {
-		return nil, false, fmt.Errorf("%w: body crc %08x, header says %08x", ErrCheckpointCorrupt, got, crc)
+		return ck, fmt.Errorf("%w: body crc %08x, header says %08x", ErrCheckpointCorrupt, got, crc)
 	}
-	var s Snapshot
-	if err := json.Unmarshal(body, &s); err != nil {
-		return nil, false, fmt.Errorf("%w: body decode: %v", ErrCheckpointCorrupt, err)
+	if gen2 {
+		var into map[string]*table
+		if build {
+			into = make(map[string]*table)
+		}
+		seq, err := decodeBinBody(body, into)
+		if err != nil {
+			return ck, fmt.Errorf("%w: body decode: %v", ErrCheckpointCorrupt, err)
+		}
+		ck.seq, ck.tables = seq, into
+	} else if err := ck.decodeJSON(body, build); err != nil {
+		return ck, fmt.Errorf("%w: body decode: %v", ErrCheckpointCorrupt, err)
 	}
-	if s.Seq != trailerSeq {
-		return nil, false, fmt.Errorf("%w: body seq %d, trailer says %d", ErrCheckpointCorrupt, s.Seq, trailerSeq)
+	if ck.seq != trailerSeq {
+		return ck, fmt.Errorf("%w: body seq %d, trailer says %d", ErrCheckpointCorrupt, ck.seq, trailerSeq)
 	}
-	return &s, false, nil
+	return ck, nil
+}
+
+// decodeJSON decodes a JSON snapshot body (gen1 or legacy).
+func (ck *checkpoint) decodeJSON(body []byte, build bool) error {
+	var sn Snapshot
+	if err := json.Unmarshal(body, &sn); err != nil {
+		return err
+	}
+	ck.seq = sn.Seq
+	if build {
+		// A freshly decoded snapshot owns its values: no copy needed.
+		ck.tables = tablesFromSnapshot(&sn, false)
+	}
+	return nil
+}
+
+// decodeBinBody walks a gen2 body, enforcing the canonical order. With
+// into non-nil every table is built straight into it; nil only verifies.
+// Every count is bounded by the bytes left in the body before anything
+// is sized by it, so a hostile count cannot inflate an allocation.
+func decodeBinBody(body []byte, into map[string]*table) (uint64, error) {
+	r := wire.NewBinReader(body)
+	seq := r.U64()
+	nt := r.U32()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if uint64(nt) > uint64(r.Len()/minTableBytes) {
+		return 0, fmt.Errorf("table count %d runs past the body end", nt)
+	}
+	var prevName []byte
+	for i := uint32(0); i < nt; i++ {
+		name := r.View16()
+		nr := r.U32()
+		if err := r.Err(); err != nil {
+			return 0, err
+		}
+		if i > 0 && bytes.Compare(prevName, name) >= 0 {
+			return 0, fmt.Errorf("table %.32q out of order", name)
+		}
+		prevName = name
+		if uint64(nr) > uint64(r.Len()/minRowBytes) {
+			return 0, fmt.Errorf("row count %d in table %.32q runs past the body end", nr, name)
+		}
+		var t *table
+		if into != nil {
+			t = newTableSized(string(name), int(nr))
+			into[t.name] = t
+		}
+		var prevKey []byte
+		for j := uint32(0); j < nr; j++ {
+			key := r.View16()
+			value := r.View32()
+			if err := r.Err(); err != nil {
+				return 0, err
+			}
+			if j > 0 && bytes.Compare(prevKey, key) >= 0 {
+				return 0, fmt.Errorf("key %.32q in table %.32q out of order", key, name)
+			}
+			prevKey = key
+			if t != nil {
+				k := string(key)
+				t.stripes[stripeFor(k)].rows[k] = &row{value: cloneBytes(value)}
+			}
+		}
+	}
+	return seq, r.Close()
 }
 
 // readCheckpointFile loads and verifies one checkpoint generation.
 // Missing files return os.ErrNotExist; verification failures wrap
 // ErrCheckpointCorrupt.
-func readCheckpointFile(fsys FS, path string) (*Snapshot, bool, error) {
+func readCheckpointFile(fsys FS, path string, build bool) (*checkpoint, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer f.Close()
-	b, err := io.ReadAll(f)
+	b, err := readWhole(f)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return decodeCheckpoint(b)
+	return decodeCheckpoint(b, build)
 }
 
-// writeSnapshotFile writes sn to path atomically: encode to path+".tmp",
+// writeSnapshotFile writes a gen2 image of the cut to path atomically: encode to path+".tmp",
 // fsync, rename into place, fsync the directory (the rename is
 // directory metadata — without the dir fsync it may not survive power
 // loss, and callers compact the journal right after a checkpoint, so a
 // vanished rename plus a truncated journal would lose the whole
 // ledger). The temp file is removed on every failure path, and with
 // rotate an intact existing checkpoint is preserved as path+".1".
-func writeSnapshotFile(fsys FS, sn *Snapshot, path string, rotate bool) error {
-	img, err := encodeCheckpoint(sn)
+func writeSnapshotFile(fsys FS, seq uint64, tabs []tableImage, path string, rotate bool) error {
+	img, err := encodeCheckpoint(seq, tabs)
 	if err != nil {
 		return err
 	}
@@ -311,7 +539,7 @@ func rotateCheckpoint(fsys FS, path string) error {
 		return err
 	}
 	dest := path + ".1"
-	if _, _, err := readCheckpointFile(fsys, path); err != nil {
+	if _, err := readCheckpointFile(fsys, path, false); err != nil {
 		dest = path + ".corrupt"
 	}
 	return fsys.Rename(path, dest)
@@ -330,6 +558,9 @@ type BootInfo struct {
 	Seq uint64
 	// Legacy reports a headerless pre-checksum checkpoint.
 	Legacy bool
+	// Format of the restored checkpoint's body: FormatLegacy,
+	// FormatJSON or FormatBin1 ("" when Generation is -1).
+	Format string
 	// ModTime of the restored checkpoint file (zero when none) — feeds
 	// the db.checkpoint_age_seconds gauge.
 	ModTime time.Time
@@ -390,7 +621,7 @@ func OpenWithCheckpointFS(fsys FS, checkpointPath string, journal Journal) (*Sto
 	gens := []gen{{0, checkpointPath}, {1, checkpointPath + ".1"}}
 	newestExists := false
 	for _, g := range gens {
-		sn, legacy, err := readCheckpointFile(fsys, g.path)
+		ck, err := readCheckpointFile(fsys, g.path, true)
 		if err != nil {
 			if os.IsNotExist(err) {
 				if g.idx == 0 {
@@ -412,24 +643,25 @@ func OpenWithCheckpointFS(fsys FS, checkpointPath string, journal Journal) (*Sto
 		// newest file EXISTS but is corrupt, writes since this older
 		// generation may already have been compacted away, so an empty
 		// journal proves nothing and the gap must be assumed.
-		if haveEntries && firstSeq > sn.Seq+1 {
+		if haveEntries && firstSeq > ck.seq+1 {
 			info.Fallbacks = append(info.Fallbacks,
-				fmt.Sprintf("%s: journal starts at seq %d, past checkpoint seq %d+1 (span compacted away)", g.path, firstSeq, sn.Seq))
+				fmt.Sprintf("%s: journal starts at seq %d, past checkpoint seq %d+1 (span compacted away)", g.path, firstSeq, ck.seq))
 			continue
 		}
 		if !haveEntries && g.idx > 0 && newestExists {
 			info.Fallbacks = append(info.Fallbacks,
-				fmt.Sprintf("%s: journal empty and a newer (corrupt) generation exists — span since seq %d unprovable", g.path, sn.Seq))
+				fmt.Sprintf("%s: journal empty and a newer (corrupt) generation exists — span since seq %d unprovable", g.path, ck.seq))
 			continue
 		}
-		st, err := OpenFromSnapshot(sn, journal)
+		st, err := openFromTables(ck.seq, ck.tables, journal)
 		if err != nil {
 			return nil, nil, fmt.Errorf("db: checkpoint %s: %w", g.path, err)
 		}
 		info.Generation = g.idx
 		info.Path = g.path
-		info.Seq = sn.Seq
-		info.Legacy = legacy
+		info.Seq = ck.seq
+		info.Format = ck.format
+		info.Legacy = ck.format == FormatLegacy
 		if fi, err := fsys.Stat(g.path); err == nil {
 			info.ModTime = fi.ModTime()
 		}
@@ -486,19 +718,36 @@ func journalFirstSeq(journal Journal) (firstSeq uint64, haveEntries bool, err er
 // OpenFromSnapshot builds a store from a snapshot plus an optional journal
 // holding writes made after the snapshot was taken. Journal entries with
 // Seq <= snapshot Seq are skipped (already reflected in the snapshot).
+// The snapshot's values are copied: the caller keeps ownership of sn.
 func OpenFromSnapshot(sn *Snapshot, journal Journal) (*Store, error) {
-	s := &Store{tables: make(map[string]*table), journal: journal, instance: newInstanceID()}
-	s.seq.Store(sn.Seq)
+	return openFromTables(sn.Seq, tablesFromSnapshot(sn, true), journal)
+}
+
+// tablesFromSnapshot builds store tables from a snapshot, copying every
+// value when clone is set.
+func tablesFromSnapshot(sn *Snapshot, clone bool) map[string]*table {
+	tables := make(map[string]*table, len(sn.Tables))
 	for name, rows := range sn.Tables {
-		t := newTable(name)
+		t := newTableSized(name, len(rows))
 		for k, v := range rows {
-			t.stripes[stripeFor(k)].rows[k] = &row{value: cloneBytes(v)}
+			if clone {
+				v = cloneBytes(v)
+			}
+			t.stripes[stripeFor(k)].rows[k] = &row{value: v}
 		}
-		s.tables[name] = t
+		tables[name] = t
 	}
+	return tables
+}
+
+// openFromTables builds a store over tables restored at seq, then
+// replays the journal entries sequenced after it.
+func openFromTables(seq uint64, tables map[string]*table, journal Journal) (*Store, error) {
+	s := &Store{tables: tables, journal: journal, instance: newInstanceID()}
+	s.seq.Store(seq)
 	if journal != nil {
 		err := journal.Replay(func(e Entry) error {
-			if e.Seq != 0 && e.Seq <= sn.Seq {
+			if e.Seq != 0 && e.Seq <= seq {
 				return nil
 			}
 			return s.applyEntry(e)

@@ -596,6 +596,25 @@ func (r *BinReader) Blob32() []byte {
 	return append([]byte(nil), r.take(int(n))...)
 }
 
+// View16 consumes a u16-length-prefixed byte run without copying: the
+// result aliases the payload, so it is valid only while the payload is.
+func (r *BinReader) View16() []byte { return r.take(int(r.U16())) }
+
+// View32 is View16 for a u32-length-prefixed run.
+func (r *BinReader) View32() []byte {
+	n := r.U32()
+	if r.err != nil || uint64(n) > uint64(len(r.b)) {
+		r.fail()
+		return nil
+	}
+	return r.take(int(n))
+}
+
+// Len reports how many payload bytes are left unconsumed. Decoders use
+// it to bound counts read from the payload before sizing anything by
+// them.
+func (r *BinReader) Len() int { return len(r.b) }
+
 // Err reports the first short read, if any.
 func (r *BinReader) Err() error { return r.err }
 
