@@ -1,10 +1,14 @@
 package accounts
 
 import (
+	"time"
+
+	"gridbank/internal/currency"
 	"gridbank/internal/db"
 )
 
-// Transaction-scoped ledger primitives for the sharding layer.
+// Transaction-scoped ledger primitives for the sharding layer and the
+// settlement pipelines.
 //
 // A cross-shard transfer cannot go through Manager.Transfer — each of
 // its sides lives on a different store — so the two-phase-commit
@@ -39,6 +43,28 @@ func (m *Manager) AppendTransactionTx(tx *db.Tx, t *Transaction) (uint64, error)
 // canonical key. rec.TransactionID must already be set.
 func (m *Manager) InsertTransferTx(tx *db.Tx, rec *Transfer) error {
 	return tx.Insert(tableTransfers, transferKey(rec.TransactionID), encodeTransfer(rec))
+}
+
+// RecordTransferTx writes the §5.1 records of one transfer inside tx:
+// the drawer's debit and the recipient's credit TRANSACTION rows under
+// one allocated ID, and the TRANSFER record carrying rur as evidence.
+// Moving the balances is the caller's, in the same tx. Returns the ID.
+func (m *Manager) RecordTransferTx(tx *db.Tx, drawer, recipient ID, amount currency.Amount, date time.Time, rur []byte) (uint64, error) {
+	neg, err := amount.Neg()
+	if err != nil {
+		return 0, err
+	}
+	txID, err := m.appendTransaction(tx, &Transaction{AccountID: drawer, Type: TxTransfer, Date: date, Amount: neg})
+	if err != nil {
+		return 0, err
+	}
+	if _, err := m.appendTransaction(tx, &Transaction{TransactionID: txID, AccountID: recipient, Type: TxTransfer, Date: date, Amount: amount}); err != nil {
+		return 0, err
+	}
+	return txID, m.InsertTransferTx(tx, &Transfer{
+		TransactionID: txID, Date: date, DrawerAccountID: drawer, Amount: amount,
+		RecipientAccountID: recipient, ResourceUsageRecord: rur,
+	})
 }
 
 // PutTransferTx overwrites a TRANSFER record inside tx (cancellation

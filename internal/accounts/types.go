@@ -38,6 +38,19 @@ var (
 	ErrAlreadyCancelled  = errors.New("accounts: transfer already cancelled")
 )
 
+// IsRefusal reports a business refusal no retry of the same transfer can
+// cure: a missing or closed account, a currency mismatch, insufficient
+// (locked) funds, or a bad amount. Deferred settlement parks on these
+// instead of retrying forever.
+func IsRefusal(err error) bool {
+	return errors.Is(err, ErrNotFound) ||
+		errors.Is(err, ErrClosed) ||
+		errors.Is(err, ErrCurrencyMismatch) ||
+		errors.Is(err, ErrInsufficient) ||
+		errors.Is(err, ErrInsufficientLock) ||
+		errors.Is(err, ErrBadAmount)
+}
+
 // ID is an account identifier in the paper's format
 // bank-branch-account, e.g. "01-0001-00000001" (§5.1: "imitates real
 // world account numbers").

@@ -23,7 +23,7 @@
 //     of micro-payments amortize into a few signatures' worth of work
 //     and a handful of group-committed ledger transactions.
 //
-// Contract (mirroring internal/usage):
+// Contract (the shared spool core's, as in internal/usage):
 //
 //   - Durable intake: an acknowledged claim is journaled to the spool
 //     and survives a crash.
@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"gridbank/internal/accounts"
+	"gridbank/internal/spool"
 )
 
 // Pipeline errors.
@@ -184,12 +185,6 @@ func (b Boundary) String() string {
 	}
 }
 
-// spool row states.
-const (
-	statePending = "pending"
-	stateFailed  = "failed"
-)
-
 // spoolRow is one durable intake claim, with the parties resolved at
 // intake so recovery never needs a directory lookup.
 type spoolRow struct {
@@ -203,6 +198,16 @@ type spoolRow struct {
 	State    string      `json:"state"`
 	Reason   string      `json:"reason,omitempty"`
 	Enqueued time.Time   `json:"enqueued"`
+}
+
+func (r spoolRow) SpoolKey() string         { return r.Key }
+func (r spoolRow) SpoolDrawer() accounts.ID { return r.Drawer }
+func (r spoolRow) Pending() bool            { return r.State == spool.StatePending }
+func (r spoolRow) EnqueuedAt() time.Time    { return r.Enqueued }
+
+func (r spoolRow) Parked(reason string) spoolRow {
+	r.State, r.Reason = spool.StateFailed, reason
+	return r
 }
 
 // spoolKey is the idempotency key of one claim: a serial can be claimed

@@ -2,7 +2,6 @@ package micropay
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -15,6 +14,7 @@ import (
 	"gridbank/internal/db"
 	"gridbank/internal/obs"
 	"gridbank/internal/payment"
+	"gridbank/internal/spool"
 )
 
 // tableSpool is the intake spool table (on the spool store).
@@ -53,21 +53,13 @@ type Config struct {
 	Log *obs.Logger
 	// Obs names the pipeline's instruments (micropay.queue_depth,
 	// micropay.inflight, micropay.batch_claims, micropay.settled_ticks,
-	// micropay.settled_claims, micropay.parked, micropay.overloaded).
-	// Nil leaves telemetry off.
+	// micropay.settled_claims, micropay.parked, micropay.overloaded,
+	// micropay.settle_latency). Nil leaves telemetry off.
 	Obs *obs.Registry
 	// CrashHook installs fault injection before the workers start; it
 	// also arms the Redeemer's hook, so the Pinned/Settled/Advanced
 	// boundaries fire from inside redemption. Test instrumentation only.
 	CrashHook func(b Boundary, serial string) error
-}
-
-// groupKey buckets pending claims for batching: all chains drawn on one
-// account live on one shard, so their redemptions land on one store's
-// group-committed journal back to back.
-type groupKey struct {
-	shard  int
-	drawer accounts.ID
 }
 
 // session is the per-chain intake state: the verified commitment, the
@@ -91,58 +83,32 @@ func (s *session) verify(i int, word []byte) error {
 }
 
 // Pipeline is the streaming micropayment engine. Construct with New —
-// which also runs crash recovery — and Close when done.
+// which also runs crash recovery — and Close when done. Queueing,
+// batching, backpressure, parking and draining are the shared spool
+// core's; this type supplies claim verification against the session
+// anchors at intake and the per-serial highest-claim redemption of one
+// batch.
 type Pipeline struct {
-	red   *Redeemer
-	spool *db.Store
-	cfg   Config
-	now   func() time.Time
-
-	// Log records transient settlement faults. Prefer Config.Log; with
-	// background workers this field may only be reassigned while the
-	// pipeline is provably idle (Workers < 0).
-	Log *obs.Logger
+	core *spool.Pipeline[spoolRow]
+	red  *Redeemer
+	cfg  Config
+	now  func() time.Time
 
 	// intakeMu serializes claim verification so session anchors advance
 	// consistently; it is never held across a settlement.
 	intakeMu sync.Mutex
 	sessions map[string]*session
 
-	mu       sync.Mutex
-	queue    map[groupKey][]string
-	reserved int
-	inflight int
-	failed   int
-	lastErr  string
-	closed   bool
-
 	settledTicks  atomic.Uint64
 	settledClaims atomic.Uint64
-	duplicates    atomic.Uint64
-	rejected      atomic.Uint64
-	batches       atomic.Uint64
-	crossShard    atomic.Uint64
-
-	mQueue       *obs.Gauge
-	mInflight    *obs.Gauge
-	mBatchClaims *obs.Histogram
-	mTicks       *obs.Counter
-	mClaims      *obs.Counter
-	mParked      *obs.Counter
-	mOverloaded  *obs.Counter
-
-	kick chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mTicks        *obs.Counter
+	mClaims       *obs.Counter
 }
-
-// errAbandoned wraps a crash-hook abandon so a settlement pass stops
-// cold without requeueing (simulated process death loses the in-memory
-// queue by design; recovery rebuilds it from the spool).
-var errAbandoned = errors.New("micropay: processing abandoned by crash hook")
 
 // New builds a pipeline over the redeemer and spool store, recovers any
 // claims a crash left pending, and starts the settlement workers.
+// (Pinned cross-shard redemptions live in chain rows and are recovered
+// by NewRedeemer.)
 func New(cfg Config) (*Pipeline, error) {
 	if cfg.Redeemer == nil {
 		return nil, errors.New("micropay: pipeline requires a redeemer")
@@ -150,143 +116,75 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.FindAccount == nil {
 		return nil, errors.New("micropay: pipeline requires an account resolver")
 	}
-	if cfg.Spool == nil {
-		return nil, errors.New("micropay: pipeline requires a spool store")
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
-	}
-	if cfg.Workers < 0 {
-		cfg.Workers = 0 // synchronous mode: SettleOnce/Drain only
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 4096
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 25 * time.Millisecond
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	p := &Pipeline{
 		red:      cfg.Redeemer,
-		spool:    cfg.Spool,
 		cfg:      cfg,
 		now:      cfg.Now,
-		Log:      cfg.Log,
 		sessions: make(map[string]*session),
-		queue:    make(map[groupKey][]string),
-		kick:     make(chan struct{}, cfg.Workers+1),
-		stop:     make(chan struct{}),
-
-		mQueue:       cfg.Obs.Gauge("micropay.queue_depth"),
-		mInflight:    cfg.Obs.Gauge("micropay.inflight"),
-		mBatchClaims: cfg.Obs.Histogram("micropay.batch_claims"),
-		mTicks:       cfg.Obs.Counter("micropay.settled_ticks"),
-		mClaims:      cfg.Obs.Counter("micropay.settled_claims"),
-		mParked:      cfg.Obs.Counter("micropay.parked"),
-		mOverloaded:  cfg.Obs.Counter("micropay.overloaded"),
+		mTicks:   cfg.Obs.Counter("micropay.settled_ticks"),
+		mClaims:  cfg.Obs.Counter("micropay.settled_claims"),
 	}
-	if cfg.CrashHook != nil && p.red.Hook == nil {
-		p.red.Hook = func(b Boundary, serial string) error {
-			if err := cfg.CrashHook(b, serial); err != nil {
-				return fmt.Errorf("%w: %v", errAbandoned, err)
-			}
-			return nil
-		}
-	}
-	if err := p.spool.EnsureTable(tableSpool); err != nil {
-		return nil, err
-	}
-	if err := p.recover(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p, nil
-}
-
-// recover re-queues every pending spool row. (Pinned cross-shard
-// redemptions live in chain rows and are recovered by NewRedeemer.)
-func (p *Pipeline) recover() error {
-	var scanErr error
-	err := p.spool.Scan(tableSpool, func(key string, value []byte) bool {
-		var row spoolRow
-		if err := json.Unmarshal(value, &row); err != nil {
-			scanErr = fmt.Errorf("micropay: corrupt spool row %s: %w", key, err)
-			return false
-		}
-		switch row.State {
-		case statePending:
-			k := groupKey{shard: p.red.Ledger().ShardFor(row.Drawer), drawer: row.Drawer}
-			p.queue[k] = append(p.queue[k], row.Key)
-			p.mQueue.Inc()
-		case stateFailed:
-			p.failed++
-		}
-		return true
+	core, err := spool.New(spool.Config[spoolRow]{
+		Name: "micropay", Spool: cfg.Spool, Table: tableSpool, ShardFor: p.red.Ledger().ShardFor,
+		BatchSize: cfg.BatchSize, Workers: cfg.Workers, MaxPending: cfg.MaxPending,
+		RetryInterval: cfg.RetryInterval, Now: cfg.Now, Log: cfg.Log, Obs: cfg.Obs,
+		BatchMetric: "batch_claims",
+		ErrClosed:   ErrClosed, ErrOverloaded: ErrOverloaded,
+		ErrDrainStalled: ErrDrainStalled, ErrDrainTimeout: ErrDrainTimeout,
+		Settle:   p.settleBatch,
+		Terminal: terminalRedeemErr,
+		Spooled:  func(row spoolRow) error { return p.crashHook(BoundarySpooled, row.Serial) },
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return scanErr
+	p.core = core
+	if cfg.CrashHook != nil && p.red.Hook == nil {
+		p.red.Hook = p.crashHook
+	}
+	core.Start()
+	return p, nil
 }
 
 // Close stops the workers. Pending claims stay durably spooled and
 // settle when a new pipeline is constructed over the same stores.
-func (p *Pipeline) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.stop)
-	p.wg.Wait()
-	return nil
-}
-
-func (p *Pipeline) pendingLocked() int {
-	n := p.reserved + p.inflight
-	for _, ids := range p.queue {
-		n += len(ids)
-	}
-	return n
-}
+func (p *Pipeline) Close() error { return p.core.Close() }
 
 // Status reports the pipeline's observable state.
 func (p *Pipeline) Status() *Stats {
-	p.mu.Lock()
-	pending := p.pendingLocked()
-	queued := 0
-	for _, ids := range p.queue {
-		queued += len(ids)
-	}
-	inflight := p.inflight
-	failed := p.failed
-	lastErr := p.lastErr
-	p.mu.Unlock()
+	s := p.core.Status()
 	return &Stats{
-		Pending:       pending,
-		QueueDepth:    queued,
-		InFlight:      inflight,
-		Failed:        failed,
+		Pending:       s.Pending,
+		QueueDepth:    s.QueueDepth,
+		InFlight:      s.InFlight,
+		Failed:        s.Failed,
 		SettledTicks:  p.settledTicks.Load(),
 		SettledClaims: p.settledClaims.Load(),
-		Duplicates:    p.duplicates.Load(),
-		Rejected:      p.rejected.Load(),
-		Batches:       p.batches.Load(),
-		CrossShard:    p.crossShard.Load(),
-		Workers:       p.cfg.Workers,
-		BatchSize:     p.cfg.BatchSize,
-		LastError:     lastErr,
+		Duplicates:    s.Duplicates,
+		Rejected:      s.Rejected,
+		Batches:       s.Batches,
+		CrossShard:    s.CrossShard,
+		Workers:       s.Workers,
+		BatchSize:     s.BatchSize,
+		LastError:     s.LastError,
 	}
+}
+
+// SettleOnce runs one synchronous settlement pass over every group that
+// had pending work when the pass started, and reports how many claims
+// reached a terminal outcome.
+func (p *Pipeline) SettleOnce() (int, error) { return p.core.SettleOnce() }
+
+// Drain blocks until every pending claim reaches a terminal outcome, or
+// the timeout elapses. With background workers it kicks and waits; in
+// synchronous mode (Workers < 0) it runs settlement passes itself and
+// reports ErrDrainStalled if a full pass makes no progress.
+func (p *Pipeline) Drain(timeout time.Duration) (*Stats, error) {
+	err := p.core.Drain(timeout)
+	return p.Status(), err
 }
 
 // Submit verifies and durably spools a batch of chain claims for
@@ -299,10 +197,6 @@ func (p *Pipeline) Status() *Stats {
 // and its ticks will be paid exactly once.
 func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error) {
 	res := &SubmitResult{}
-	if len(batch) == 0 {
-		return res, nil
-	}
-
 	// Verify under the intake lock: each claim extends a per-chain
 	// anchor, so a burst of N claims on one chain costs O(maxIndex)
 	// hashes total, not O(N·maxIndex). Anchor advances are buffered and
@@ -314,18 +208,21 @@ func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error
 	adv := make(map[string]advance)
 	var rows []spoolRow
 	var ticks int
+	reject := func(cl *Claim, reason string) {
+		p.core.Rejected.Add(1)
+		res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: reason})
+	}
 	p.intakeMu.Lock()
+	defer p.intakeMu.Unlock()
 	for i := range batch {
 		cl := &batch[i]
 		if reason := ValidClaimShape(cl); reason != "" {
-			p.rejected.Add(1)
-			res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: reason})
+			reject(cl, reason)
 			continue
 		}
 		sess, reason := p.sessionFor(cl.Serial, payeeCert)
 		if reason != "" {
-			p.rejected.Add(1)
-			res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: reason})
+			reject(cl, reason)
 			continue
 		}
 		head, headWord := sess.head, sess.headWord
@@ -340,8 +237,7 @@ func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error
 		}
 		eff := session{cc: sess.cc, payee: sess.payee, head: head, headWord: headWord}
 		if err := eff.verify(cl.Index, cl.Word); err != nil {
-			p.rejected.Add(1)
-			res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: err.Error()})
+			reject(cl, err.Error())
 			continue
 		}
 		ticks += cl.Index - head
@@ -354,113 +250,25 @@ func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error
 			RUR:      cl.RUR,
 			Drawer:   sess.cc.DrawerAccountID,
 			Payee:    sess.payee,
-			State:    statePending,
+			State:    spool.StatePending,
 			Enqueued: p.now(),
 		})
 	}
-	if len(rows) == 0 {
-		p.intakeMu.Unlock()
-		return res, nil
+	in, err := p.core.Submit(rows)
+	if in == nil {
+		return nil, err
 	}
-
-	// Backpressure: reserve capacity before any durable write.
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.intakeMu.Unlock()
-		return nil, ErrClosed
-	}
-	if p.pendingLocked()+len(rows) > p.cfg.MaxPending {
-		pending := p.pendingLocked()
-		p.mu.Unlock()
-		p.intakeMu.Unlock()
-		p.mOverloaded.Inc()
-		return nil, fmt.Errorf("%w: %d pending + %d offered exceeds bound %d",
-			ErrOverloaded, pending, len(rows), p.cfg.MaxPending)
-	}
-	p.reserved += len(rows)
-	p.mu.Unlock()
-	release := len(rows)
-	defer func() {
-		p.mu.Lock()
-		p.reserved -= release
-		p.mu.Unlock()
-	}()
-
-	// Durable intake: one spool transaction for the whole batch,
-	// deduplicating against rows already spooled. A row parked failed
-	// resurrects for another attempt.
-	var accepted []spoolRow
-	var dups, revived int
-	err := p.spool.Update(func(tx *db.Tx) error {
-		accepted, dups, revived = accepted[:0], 0, 0 // Update may retry fn
-		for i := range rows {
-			raw, err := tx.Get(tableSpool, rows[i].Key)
-			switch {
-			case err == nil:
-				var cur spoolRow
-				if err := json.Unmarshal(raw, &cur); err != nil {
-					return fmt.Errorf("micropay: corrupt spool row %s: %w", rows[i].Key, err)
-				}
-				if cur.State != stateFailed {
-					dups++
-					continue
-				}
-				revived++
-			case !errors.Is(err, db.ErrNoRecord):
-				return err
-			}
-			out, err := json.Marshal(&rows[i])
-			if err != nil {
-				return err
-			}
-			if err := tx.Put(tableSpool, rows[i].Key, out); err != nil {
-				return err
-			}
-			accepted = append(accepted, rows[i])
-		}
-		return nil
-	})
-	if err != nil {
-		p.intakeMu.Unlock()
-		return nil, fmt.Errorf("micropay: spooling claim batch: %w", err)
-	}
-	// Commit the anchor advances now that the claims are durable.
+	// The claims are durable: commit the anchor advances.
 	for serial, a := range adv {
 		if sess := p.sessions[serial]; sess != nil && a.idx > sess.head {
 			sess.head = a.idx
 			sess.headWord = a.word
 		}
 	}
-	p.intakeMu.Unlock()
-
-	if revived > 0 {
-		p.mu.Lock()
-		p.failed -= revived
-		p.mu.Unlock()
-	}
-	res.Accepted = len(accepted)
+	res.Accepted = in.Accepted
 	res.AcceptedTicks = ticks
-	res.Duplicates += dups
-	p.duplicates.Add(uint64(dups))
-	if len(accepted) == 0 {
-		return res, nil
-	}
-	if err := p.crashHook(BoundarySpooled, accepted[0].Serial); err != nil {
-		// Simulated death after the durable append: the rows are in the
-		// spool and recovery will settle them; nothing is enqueued here.
-		return res, err
-	}
-
-	p.mu.Lock()
-	for i := range accepted {
-		k := groupKey{shard: p.red.Ledger().ShardFor(accepted[i].Drawer), drawer: accepted[i].Drawer}
-		p.queue[k] = append(p.queue[k], accepted[i].Key)
-	}
-	p.mu.Unlock()
-	p.mQueue.Add(int64(len(accepted)))
-	p.kickWorkers()
-	return res, nil
+	res.Duplicates += in.Duplicates
+	return res, err
 }
 
 // sessionFor loads (or returns) the intake session for a chain,
@@ -512,193 +320,28 @@ func (p *Pipeline) crashHook(b Boundary, serial string) error {
 		return nil
 	}
 	if err := p.cfg.CrashHook(b, serial); err != nil {
-		return fmt.Errorf("%w: %v", errAbandoned, err)
+		return fmt.Errorf("%w: %v", spool.ErrAbandoned, err)
 	}
 	return nil
 }
 
-func (p *Pipeline) kickWorkers() {
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (p *Pipeline) worker() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.RetryInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-p.kick:
-		case <-t.C:
-		}
-		if _, err := p.drainPass(); err != nil {
-			p.noteErr(err)
-		}
-	}
-}
-
-func (p *Pipeline) noteErr(err error) {
-	p.mu.Lock()
-	p.lastErr = err.Error()
-	p.mu.Unlock()
-	p.Log.Warn("micropay settlement fault", "err", err)
-}
-
-// SettleOnce runs one synchronous settlement pass over every group that
-// had pending work when the pass started, and reports how many claims
-// reached a terminal outcome.
-func (p *Pipeline) SettleOnce() (int, error) {
-	return p.drainPass()
-}
-
-func (p *Pipeline) drainPass() (int, error) {
-	p.mu.Lock()
-	keys := make([]groupKey, 0, len(p.queue))
-	for k := range p.queue {
-		keys = append(keys, k)
-	}
-	p.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].shard != keys[j].shard {
-			return keys[i].shard < keys[j].shard
-		}
-		return keys[i].drawer < keys[j].drawer
-	})
-	var done int
-	var firstErr error
-	for _, k := range keys {
-		for {
-			ids := p.takeGroup(k)
-			if len(ids) == 0 {
-				break
-			}
-			n, err := p.settleGroup(k, ids)
-			done += n
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				break // leave this group for the next pass
-			}
-		}
-		if firstErr != nil && errors.Is(firstErr, errAbandoned) {
-			break // simulated death: stop the whole pass
-		}
-	}
-	return done, firstErr
-}
-
-// takeGroup pops up to BatchSize claim keys from one group, moving them
-// into the in-flight count.
-func (p *Pipeline) takeGroup(k groupKey) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := p.queue[k]
-	if len(ids) == 0 {
-		delete(p.queue, k)
-		return nil
-	}
-	n := len(ids)
-	if n > p.cfg.BatchSize {
-		n = p.cfg.BatchSize
-	}
-	taken := ids[:n:n]
-	rest := ids[n:]
-	if len(rest) == 0 {
-		delete(p.queue, k)
-	} else {
-		p.queue[k] = rest
-	}
-	p.inflight += n
-	p.mQueue.Add(int64(-n))
-	p.mInflight.Add(int64(n))
-	p.mBatchClaims.Observe(int64(n))
-	return taken
-}
-
-// requeue returns unfinished claims to the queue (transient faults).
-func (p *Pipeline) requeue(k groupKey, keys []string) {
-	if len(keys) == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.queue[k] = append(p.queue[k], keys...)
-	p.mu.Unlock()
-	p.mQueue.Add(int64(len(keys)))
-}
-
-func (p *Pipeline) requeueRows(k groupKey, rows []spoolRow) {
-	keys := make([]string, len(rows))
-	for i := range rows {
-		keys[i] = rows[i].Key
-	}
-	p.requeue(k, keys)
-}
-
-// failure is a claim parked by a terminal settlement outcome.
-type failure struct {
-	row    spoolRow
-	reason string
-}
-
 // terminalRedeemErr classifies redemption errors retrying cannot fix.
 func terminalRedeemErr(err error) bool {
-	if errors.Is(err, db.ErrStorageFailed) {
-		// Fail-stopped storage is an instance outage, not a verdict on
-		// the claim: it must stay queued and redeem after restart, even
-		// if the failure surfaced wrapped in a business error.
-		return false
-	}
 	return errors.Is(err, ErrUnknownChain) ||
 		errors.Is(err, ErrChainState) ||
 		errors.Is(err, payment.ErrBadWord) ||
 		errors.Is(err, payment.ErrBadIndex) ||
-		errors.Is(err, accounts.ErrNotFound) ||
-		errors.Is(err, accounts.ErrClosed) ||
-		errors.Is(err, accounts.ErrCurrencyMismatch) ||
-		errors.Is(err, accounts.ErrInsufficient) ||
-		errors.Is(err, accounts.ErrInsufficientLock) ||
-		errors.Is(err, accounts.ErrBadAmount)
+		accounts.IsRefusal(err)
 }
 
-// settleGroup settles one batch of claims drawn from a single account.
+// settleBatch settles one batch of claims drawn from a single account.
 // Claims collapse per chain: only the highest index redeems (one
 // transaction per chain), and the lower claims it subsumes finish as
-// part of the same advance. Returns how many claims reached a terminal
-// outcome.
-func (p *Pipeline) settleGroup(k groupKey, keys []string) (int, error) {
-	defer func() {
-		p.mu.Lock()
-		p.inflight -= len(keys)
-		p.mu.Unlock()
-		p.mInflight.Add(int64(-len(keys)))
-	}()
-
-	// Load the durable rows; keys whose row vanished were finished by
-	// an earlier generation's cleanup.
+// part of the same advance.
+func (p *Pipeline) settleBatch(b *spool.Batch[spoolRow]) error {
 	bySerial := make(map[string][]spoolRow)
 	serials := make([]string, 0, 4)
-	for _, key := range keys {
-		raw, err := p.spool.Get(tableSpool, key)
-		if errors.Is(err, db.ErrNoRecord) {
-			continue
-		}
-		if err != nil {
-			p.requeue(k, keys)
-			return 0, err
-		}
-		var row spoolRow
-		if err := json.Unmarshal(raw, &row); err != nil {
-			p.requeue(k, keys)
-			return 0, fmt.Errorf("micropay: corrupt spool row %s: %w", key, err)
-		}
-		if row.State != statePending {
-			continue // parked failed by an earlier pass
-		}
+	for _, row := range b.Rows {
 		if _, seen := bySerial[row.Serial]; !seen {
 			serials = append(serials, row.Serial)
 		}
@@ -706,8 +349,7 @@ func (p *Pipeline) settleGroup(k groupKey, keys []string) (int, error) {
 	}
 	sort.Strings(serials)
 
-	done := 0
-	for si, serial := range serials {
+	for _, serial := range serials {
 		rows := bySerial[serial]
 		// The delta rule: the highest claim pays for everything below it.
 		best := 0
@@ -721,10 +363,10 @@ func (p *Pipeline) settleGroup(k groupKey, keys []string) (int, error) {
 		switch {
 		case err == nil:
 			if out.Ticks > 0 {
-				p.batches.Add(1)
+				p.core.Batches.Add(1)
 			}
 			if out.CrossShard {
-				p.crossShard.Add(1)
+				p.core.CrossShard.Add(1)
 			}
 			p.settledTicks.Add(uint64(out.Ticks))
 			p.settledClaims.Add(uint64(len(rows)))
@@ -732,128 +374,21 @@ func (p *Pipeline) settleGroup(k groupKey, keys []string) (int, error) {
 			p.mClaims.Add(int64(len(rows)))
 		case errors.Is(err, ErrStaleIndex):
 			// Already paid (replay, or subsumed by an earlier advance).
-			p.duplicates.Add(uint64(len(rows)))
-		case errors.Is(err, errAbandoned):
-			return done, err
-		case terminalRedeemErr(err):
-			failures := make([]failure, len(rows))
-			for i := range rows {
-				failures[i] = failure{row: rows[i], reason: err.Error()}
-			}
-			if cerr := p.cleanup(nil, failures); cerr != nil {
-				p.requeueRows(k, rows)
-				return done, cerr
-			}
-			done += len(rows)
-			continue
+			p.core.Duplicates.Add(uint64(len(rows)))
 		default:
-			p.requeueRows(k, rows)
-			for _, rest := range serials[si+1:] {
-				p.requeueRows(k, bySerial[rest])
+			if err := b.Fail(rows, err); err != nil {
+				return fmt.Errorf("micropay: redeeming chain %s: %w", serial, err)
 			}
-			return done, fmt.Errorf("micropay: redeeming chain %s: %w", serial, err)
+			continue // parked
 		}
-		if err := p.cleanup(rows, nil); err != nil {
-			p.requeueRows(k, rows)
-			return done, err
+		if err := b.Cleanup(rows, nil); err != nil {
+			return err
 		}
-		done += len(rows)
 		if err := p.crashHook(BoundaryCleaned, serial); err != nil {
-			return done, err
+			return err
 		}
-	}
-	return done, nil
-}
-
-// cleanup finishes claims durably: settled/duplicate rows leave the
-// spool; failed rows are parked with their reason for the operator.
-func (p *Pipeline) cleanup(finished []spoolRow, failures []failure) error {
-	if len(finished) == 0 && len(failures) == 0 {
-		return nil
-	}
-	err := p.spool.Update(func(tx *db.Tx) error {
-		for i := range finished {
-			ok, err := tx.Exists(tableSpool, finished[i].Key)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := tx.Delete(tableSpool, finished[i].Key); err != nil {
-					return err
-				}
-			}
-		}
-		for i := range failures {
-			row := failures[i].row
-			row.State = stateFailed
-			row.Reason = failures[i].reason
-			raw, err := json.Marshal(&row)
-			if err != nil {
-				return err
-			}
-			if err := tx.Put(tableSpool, row.Key, raw); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("micropay: spool cleanup: %w", err)
-	}
-	if len(failures) > 0 {
-		p.mu.Lock()
-		p.failed += len(failures)
-		p.mu.Unlock()
-		p.mParked.Add(int64(len(failures)))
 	}
 	return nil
-}
-
-// Drain blocks until every pending claim reaches a terminal outcome, or
-// the timeout elapses. With background workers it kicks and waits; in
-// synchronous mode (Workers < 0) it runs settlement passes itself and
-// reports ErrDrainStalled if a full pass makes no progress.
-func (p *Pipeline) Drain(timeout time.Duration) (*Stats, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		p.mu.Lock()
-		pending := p.pendingLocked()
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
-			return p.Status(), ErrClosed
-		}
-		if pending == 0 {
-			return p.Status(), nil
-		}
-		if time.Now().After(deadline) {
-			return p.Status(), fmt.Errorf("%w: %d still pending", ErrDrainTimeout, pending)
-		}
-		if p.cfg.Workers == 0 {
-			n, err := p.drainPass()
-			if err != nil {
-				return p.Status(), err
-			}
-			if n == 0 {
-				p.mu.Lock()
-				settleable := p.inflight
-				for _, ids := range p.queue {
-					settleable += len(ids)
-				}
-				p.mu.Unlock()
-				if settleable > 0 {
-					return p.Status(), fmt.Errorf("%w: %d pending", ErrDrainStalled, settleable)
-				}
-				time.Sleep(time.Millisecond) // reservations only: wait them out
-			}
-			continue
-		}
-		p.kickWorkers()
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // wordSize guards claim shape at the wire layer.

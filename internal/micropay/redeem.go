@@ -274,29 +274,8 @@ func (r *Redeemer) redeemSame(row *ChainRow, at, home int, payee accounts.ID, ta
 		if err := accounts.PutAccountTx(tx, to); err != nil {
 			return err
 		}
-		neg, err := delta.Neg()
+		txID, err = mgr.RecordTransferTx(tx, drawer, payee, delta, now, rurEv)
 		if err != nil {
-			return err
-		}
-		txID, err = mgr.AppendTransactionTx(tx, &accounts.Transaction{
-			AccountID: drawer, Type: accounts.TxTransfer, Date: now, Amount: neg,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := mgr.AppendTransactionTx(tx, &accounts.Transaction{
-			TransactionID: txID, AccountID: payee, Type: accounts.TxTransfer, Date: now, Amount: delta,
-		}); err != nil {
-			return err
-		}
-		if err := mgr.InsertTransferTx(tx, &accounts.Transfer{
-			TransactionID:       txID,
-			Date:                now,
-			DrawerAccountID:     drawer,
-			Amount:              delta,
-			RecipientAccountID:  payee,
-			ResourceUsageRecord: rurEv,
-		}); err != nil {
 			return err
 		}
 		out = *cur
@@ -359,35 +338,20 @@ func (r *Redeemer) finishPin(row *ChainRow, at int) (*ChainRow, int, error) {
 	}
 	adv, _, err := r.drivePin(row, delta)
 	if err != nil {
-		if terminal := r.unpinnable(err); terminal != nil {
-			cleared, uerr := r.unpin(row)
-			if uerr != nil {
-				return nil, 0, uerr
-			}
-			return cleared, home, nil
+		// A refusal that is not in doubt proves the pinned transfer never
+		// ran and never will: drop the pin. Anything else keeps it until
+		// resolved.
+		if errors.Is(err, shard.ErrInDoubt) || !accounts.IsRefusal(err) {
+			return nil, 0, err
 		}
-		return nil, 0, err
+		cleared, uerr := r.unpin(row)
+		if uerr != nil {
+			return nil, 0, uerr
+		}
+		return cleared, home, nil
 	}
 	r.rs.dropStray(row.Commitment.Serial, at, home)
 	return adv, home, nil
-}
-
-// unpinnable classifies transfer errors that prove the pinned transfer
-// never ran and never will: the pin can be dropped. In-doubt and
-// transient faults return nil — the pin must stay until resolved.
-func (r *Redeemer) unpinnable(err error) error {
-	if errors.Is(err, shard.ErrInDoubt) {
-		return nil
-	}
-	if errors.Is(err, accounts.ErrNotFound) ||
-		errors.Is(err, accounts.ErrClosed) ||
-		errors.Is(err, accounts.ErrCurrencyMismatch) ||
-		errors.Is(err, accounts.ErrInsufficient) ||
-		errors.Is(err, accounts.ErrInsufficientLock) ||
-		errors.Is(err, accounts.ErrBadAmount) {
-		return err
-	}
-	return nil
 }
 
 // unpin clears a dead pin without advancing the row.
@@ -412,20 +376,12 @@ func (r *Redeemer) unpin(row *ChainRow) (*ChainRow, error) {
 func (r *Redeemer) drivePin(row *ChainRow, delta currency.Amount) (*ChainRow, int, error) {
 	serial := row.Commitment.Serial
 	home := r.rs.home(row)
-	if err := r.cross.ResolveInDoubt(home, row.PinTxID); err != nil {
-		return nil, 0, fmt.Errorf("micropay: resolving pinned transfer %d: %w", row.PinTxID, err)
-	}
-	if _, err := r.cross.GetTransfer(row.PinTxID); err != nil {
-		if !errors.Is(err, accounts.ErrNoSuchTransfer) {
-			return nil, 0, err
+	if _, err := shard.DrivePinned(r.cross, home, row.PinTxID, row.Commitment.DrawerAccountID, row.PinPayee, delta,
+		accounts.TransferOptions{FromLocked: true, RUR: row.PinRUR}); err != nil {
+		if errors.Is(err, shard.ErrInDoubt) {
+			return nil, 0, fmt.Errorf("micropay: chain %s redemption in doubt: %w", serial, err)
 		}
-		if _, terr := r.cross.TransferWithID(row.PinTxID, row.Commitment.DrawerAccountID, row.PinPayee, delta,
-			accounts.TransferOptions{FromLocked: true, RUR: row.PinRUR}); terr != nil {
-			if errors.Is(terr, shard.ErrInDoubt) {
-				return nil, 0, fmt.Errorf("micropay: chain %s redemption in doubt: %w", serial, terr)
-			}
-			return nil, 0, terr
-		}
+		return nil, 0, err
 	}
 	if err := r.hook(BoundarySettled, serial); err != nil {
 		return nil, 0, err

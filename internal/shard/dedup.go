@@ -46,22 +46,38 @@ func (l *Ledger) keyedCrossTransfer(fs int, drawer, recipient accounts.ID, amoun
 		}
 		return l.crossTransferWithID(mk.TxID, drawer, recipient, amount, opts, false)
 	}
-	// Retry: settle the pinned ID's fate first. Recovery presume-aborts
-	// a prepared-only attempt and completes a committed one; either way
-	// the transfer record is then the single source of truth.
-	if err := l.recoverOne(fs, gidFor(mk.TxID)); err != nil {
-		return nil, fmt.Errorf("shard: resolve keyed transfer %d: %w", mk.TxID, err)
+	// Retry: the pinned ID's recorded fate decides; re-drive if unpaid.
+	return DrivePinned(l, fs, mk.TxID, drawer, recipient, amount, opts)
+}
+
+// PinnedLedger is the surface DrivePinned drives a pinned transfer
+// through. *Ledger implements it, and so does the settlement pipelines'
+// cross-shard ledger interface.
+type PinnedLedger interface {
+	// ResolveInDoubt finishes or aborts a pinned transfer's 2PC state.
+	ResolveInDoubt(debitShard int, txID uint64) error
+	// GetTransfer reports whether (and what) a pinned ID settled.
+	GetTransfer(txID uint64) (*accounts.Transfer, error)
+	// TransferWithID drives a cross-shard transfer under a pinned ID.
+	TransferWithID(txID uint64, drawer, recipient accounts.ID, amount currency.Amount, opts accounts.TransferOptions) (*accounts.Transfer, error)
+}
+
+// DrivePinned finishes the cross-shard transfer pinned at txID, whose
+// coordinator log lives on debitShard. It first settles the fate of any
+// earlier attempt exactly as startup recovery would — presume-abort a
+// prepared-only one, complete a committed one — so the transfer record
+// is then the single source of truth: found, it is returned; missing,
+// the same transfer is driven again under the same ID. The money moves
+// at most once however often a crashed caller retries.
+func DrivePinned(l PinnedLedger, debitShard int, txID uint64, drawer, recipient accounts.ID, amount currency.Amount, opts accounts.TransferOptions) (*accounts.Transfer, error) {
+	if err := l.ResolveInDoubt(debitShard, txID); err != nil {
+		return nil, fmt.Errorf("shard: resolving pinned transfer %d: %w", txID, err)
 	}
-	tr, err := l.GetTransfer(mk.TxID)
-	if err == nil {
-		return tr, nil
-	}
+	tr, err := l.GetTransfer(txID)
 	if !errors.Is(err, accounts.ErrNoSuchTransfer) {
-		return nil, err
+		return tr, err
 	}
-	// Pinned but never (or not completely) executed: re-drive the same
-	// transfer under the same ID.
-	return l.crossTransferWithID(mk.TxID, drawer, recipient, amount, opts, false)
+	return l.TransferWithID(txID, drawer, recipient, amount, opts)
 }
 
 // SweepDedup removes op_dedup markers older than cutoff on every shard,

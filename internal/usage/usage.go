@@ -58,6 +58,7 @@ import (
 	"gridbank/internal/db"
 	"gridbank/internal/rur"
 	"gridbank/internal/shard"
+	"gridbank/internal/spool"
 )
 
 // Pipeline errors.
@@ -222,24 +223,13 @@ type CrossShardLedger interface {
 	AllocTxID() uint64
 	// SeedTxIDsAbove raises the allocator above recovered pins.
 	SeedTxIDsAbove(n uint64)
-	// TransferWithID drives a cross-shard transfer under a pinned ID.
-	TransferWithID(txID uint64, drawer, recipient accounts.ID, amount currency.Amount, opts accounts.TransferOptions) (*accounts.Transfer, error)
-	// ResolveInDoubt finishes or aborts a pinned transfer's 2PC state.
-	ResolveInDoubt(debitShard int, txID uint64) error
-	// GetTransfer reports whether (and what) a pinned ID settled.
-	GetTransfer(txID uint64) (*accounts.Transfer, error)
+	// PinnedLedger drives a transfer under a pinned ID.
+	shard.PinnedLedger
 }
 
-// shardedLedger adapts *shard.Ledger to the pipeline's interfaces.
-type shardedLedger struct {
-	*shard.Ledger
-}
-
-func (s shardedLedger) ShardManager(i int) *accounts.Manager { return s.Managers()[i] }
-func (s shardedLedger) ShardStore(i int) *db.Store           { return s.Stores()[i] }
-
-// WrapSharded adapts a sharded ledger for settlement.
-func WrapSharded(l *shard.Ledger) CrossShardLedger { return shardedLedger{l} }
+// WrapSharded adapts a sharded ledger for settlement; *shard.Ledger
+// already has the whole surface.
+func WrapSharded(l *shard.Ledger) CrossShardLedger { return l }
 
 // singleLedger adapts one accounts.Manager (the classic unsharded
 // bank) — every charge is same-shard, so the atomic batch path covers
@@ -262,12 +252,6 @@ type settledMarker struct {
 	TxID uint64 `json:"txid,omitempty"` // 0 for zero-amount settlements
 }
 
-// spool row states.
-const (
-	statePending = "pending"
-	stateFailed  = "failed"
-)
-
 // spoolRow is one durable intake record.
 type spoolRow struct {
 	ID        string          `json:"id"`
@@ -282,4 +266,14 @@ type spoolRow struct {
 	// Reason records why a failed row was parked.
 	Reason   string    `json:"reason,omitempty"`
 	Enqueued time.Time `json:"enqueued"`
+}
+
+func (r spoolRow) SpoolKey() string         { return r.ID }
+func (r spoolRow) SpoolDrawer() accounts.ID { return r.Drawer }
+func (r spoolRow) Pending() bool            { return r.State == spool.StatePending }
+func (r spoolRow) EnqueuedAt() time.Time    { return r.Enqueued }
+
+func (r spoolRow) Parked(reason string) spoolRow {
+	r.State, r.Reason = spool.StateFailed, reason
+	return r
 }
