@@ -8,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"gridbank/internal/core"
 	"gridbank/internal/db"
 	"gridbank/internal/pki"
 	"gridbank/internal/shard"
-	"gridbank/internal/wire"
 )
 
 func TestBootstrapAndResumeCA(t *testing.T) {
@@ -72,7 +70,7 @@ func TestLoadOrIssueIdempotent(t *testing.T) {
 
 func TestIssueFlagWritesIdentity(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, "VO-T", "0001", "", "alice", "", 1, false, false, wire.CodecJSON, core.DefaultDedupTTL, usageFlags{}, micropayFlags{}, limitFlags{}, obsFlags{}); err != nil {
+	if err := run("gridbankd", []string{"-data", dir, "-vo", "VO-T", "-issue", "alice"}); err != nil {
 		t.Fatal(err)
 	}
 	id, err := pki.LoadIdentity(dir, "alice")
@@ -81,30 +79,6 @@ func TestIssueFlagWritesIdentity(t *testing.T) {
 	}
 	if id.SubjectName() != "CN=alice,O=VO-T" {
 		t.Fatalf("issued subject = %q", id.SubjectName())
-	}
-}
-
-func TestPinShardCountRefusesMismatch(t *testing.T) {
-	dir := t.TempDir()
-	if err := pinShardCount(dir, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := pinShardCount(dir, 4); err != nil {
-		t.Fatalf("matching re-pin = %v", err)
-	}
-	if err := pinShardCount(dir, 1); err == nil {
-		t.Fatal("mismatched shard count accepted")
-	}
-	// A pre-sharding data dir (journal, no marker) is 1 shard only.
-	legacy := t.TempDir()
-	if err := os.WriteFile(filepath.Join(legacy, "ledger.wal"), []byte("[]\n"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := pinShardCount(legacy, 4); err == nil {
-		t.Fatal("pre-sharding dir accepted -shards 4")
-	}
-	if err := pinShardCount(legacy, 1); err != nil {
-		t.Fatalf("pre-sharding dir refused -shards 1: %v", err)
 	}
 }
 

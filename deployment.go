@@ -106,7 +106,8 @@ type Deployment struct {
 // streaming micropayment redemption (EnableMicropay). Both pipelines
 // have the same intake shape (spool, batch, workers, backpressure), so
 // they share one option struct; zero values take the pipeline defaults:
-// 64-item batches, 2 workers, 4096-deep queue.
+// 64-item batches, 2 workers, 4096-deep queue. The deployment's spools
+// live in memory; gridbankd's node keeps them in WALs.
 type PipelineOptions struct {
 	// BatchSize caps how many spooled items one settlement pass takes
 	// off the queue and coalesces into one ledger transaction (for
@@ -118,12 +119,6 @@ type PipelineOptions struct {
 	Workers int
 	// MaxPending bounds the intake queue (backpressure threshold).
 	MaxPending int
-	// SpoolJournal persists the intake spool; nil keeps it in memory —
-	// the in-process harness trades intake durability for convenience,
-	// exactly like EnableSharding's extra shards. Production wiring
-	// with a WAL-backed spool is gridbankd's job (see -usage and
-	// -micropay).
-	SpoolJournal Journal
 }
 
 // UsageOptions tune EnableUsage. Alias of PipelineOptions: existing
@@ -384,7 +379,7 @@ func (d *Deployment) EnableUsage(opts UsageOptions) (*usage.Pipeline, error) {
 	if d.usagePipe != nil {
 		return d.usagePipe, nil
 	}
-	spool, err := db.Open(opts.SpoolJournal)
+	spool, err := db.Open(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +423,7 @@ func (d *Deployment) EnableMicropay(opts MicropayOptions) (*micropay.Pipeline, e
 	if d.micropayPipe != nil {
 		return d.micropayPipe, nil
 	}
-	spool, err := db.Open(opts.SpoolJournal)
+	spool, err := db.Open(nil)
 	if err != nil {
 		return nil, err
 	}

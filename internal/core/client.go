@@ -429,6 +429,15 @@ func (c *Client) fail(cc *clientConn, err error) {
 // fresh request ID.
 func (c *Client) register() (*clientConn, uint64, chan callResult, error) {
 	c.mu.Lock()
+	if cc := c.conn; cc != nil {
+		// fail marks a conn dead before detaching it: a call landing in
+		// between detaches it here and redials.
+		cc.mu.Lock()
+		if cc.err != nil {
+			c.conn = nil
+		}
+		cc.mu.Unlock()
+	}
 	if c.conn == nil {
 		if err := c.dialLocked(); err != nil {
 			c.mu.Unlock()
